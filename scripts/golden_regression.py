@@ -47,6 +47,9 @@ SCALE = 0.05
 APPS = ("fft", "radix")
 PROTOCOLS = ("hlrc", "aurc")
 FAULTY = FaultParams(drop_prob=0.02, dup_prob=0.01, retry_timeout=50_000)
+#: app for the handler- and send-path variants below: radix carries the
+#: most messages and interrupts of the grid's apps
+VARIANT_APP = "radix"
 
 
 def grid_points(perturb: int = 0):
@@ -74,6 +77,25 @@ def grid_points(perturb: int = 0):
         "fft",
         base.replace(protocol="hlrc", collective="flat"),
     )
+    # Each way a request reaches its handler, and each shape of the NI
+    # send path, pinned event for event (the digests include
+    # meta.sim_events): dedicated poller, NI-offload assist, round-robin
+    # interrupt targets, two NIs per node, RDMA remote reads and
+    # store-and-forward staging.
+    if VARIANT_APP in APPS:
+        variants = (
+            ("polling-dedicated", base.with_comm(protocol_processing="polling-dedicated")),
+            ("ni-offload", base.with_comm(protocol_processing="ni-offload")),
+            ("round-robin-irq", base.with_comm(interrupt_scheme="round_robin")),
+            ("2-nis", base.with_comm(nis_per_node=2)),
+            ("rdma", base.with_comm(comm_regime="rdma")),
+            (
+                "store-and-forward",
+                base.replace(arch=dataclasses.replace(base.arch, model_cut_through=False)),
+            ),
+        )
+        for name, cfg in variants:
+            yield f"{VARIANT_APP}/hlrc/{name}", VARIANT_APP, cfg
 
 
 def observe(result) -> dict:
