@@ -29,6 +29,7 @@ from repro.osys.vm import PageDirectory
 from repro.protocol import PROTOCOLS
 from repro.protocol.base import ProtocolContext
 from repro.sim.engine import DEFAULT_LIVELOCK_EVENTS, Simulator, Watchdog
+from repro.sim.primitives import Event
 
 
 class Node:
@@ -107,44 +108,36 @@ class Node:
                 self.service_cpu.metrics = metrics
 
     # ------------------------------------------------------------------ #
-    def dispatch_request(self, body_factory, name: str = "req"):
+    def dispatch_request(self, handler, *args) -> Event:
         """Route an incoming protocol request to a handler executor per
         the configured protocol-processing mode.
 
-        ``body_factory(cpu)`` builds the handler generator for the chosen
-        executor.  Returns an event that fires at handler completion.
+        ``handler(cpu, *args)`` builds the handler generator for the
+        chosen executor.  Returns an event that fires at handler
+        completion.
         """
-        mode = self.comm.protocol_processing
-        if mode == "interrupt":
-            return self.irq.raise_interrupt(body_factory, name=name)
-        from repro.sim.primitives import Event  # local import avoids cycle
-
-        done = Event(self.sim, name=f"{name}.done")
+        if self.comm.protocol_processing == "interrupt":
+            return self.irq.raise_interrupt(handler, *args)
         cpu = self.service_cpu
         assert cpu is not None
+        done = Event(self.sim, name="req.done")
+        self.sim.schedule_now(self._service, cpu, handler(cpu, *args), done)
+        return done
 
-        if mode == "polling-dedicated":
+    def _service(self, cpu: Processor, body, done: Event) -> None:
+        """Hand a request to the dedicated protocol processor."""
+        if self.comm.protocol_processing == "polling-dedicated":
             # the poller notices after (on average) poll_latency cycles;
             # no interrupt, no application CPU stolen
-            def poller():
-                yield self.sim.timeout(self.comm.poll_latency)
-                result = yield from cpu.run_handler(body_factory(cpu))
-                done.succeed(result)
-
-            self.sim.spawn(poller(), name=name)
-            return done
-
+            self.sim.schedule(self.comm.poll_latency, cpu.grant_handler, body, 0, done)
+            return
         # ni-offload: the slow programmable assist runs the handler; it
         # also consumes NI core bandwidth for the extra assist work
-        def assist():
-            overhead = self.comm.assist_overhead
-            if overhead:
-                yield self.sim.timeout(self.nic.core.latency(overhead))
-            result = yield from cpu.run_handler(body_factory(cpu))
-            done.succeed(result)
-
-        self.sim.spawn(assist(), name=name)
-        return done
+        overhead = self.comm.assist_overhead
+        if overhead:
+            self.sim.schedule(self.nic.core.latency(overhead), cpu.grant_handler, body, 0, done)
+        else:
+            cpu.grant_handler(body, 0, done)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Node({self.node_id}, cpus={len(self.cpus)})"

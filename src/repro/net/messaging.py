@@ -102,9 +102,10 @@ class MessagingLayer:
     # ------------------------------------------------------------------ #
     # reliable transmission
     # ------------------------------------------------------------------ #
-    def _transmit(self, msg: Message) -> Event:
+    def _transmit(self, msg: Message) -> Optional[Event]:
         """Hand ``msg`` to its source NI; arm the retransmit watch when
-        reliable delivery is on.  Returns the deposit event."""
+        reliable delivery is on.  Returns the deposit event, which exists
+        only if the sender attached one or the watch needs it."""
         nic = self._nic(msg.src_node)
         if self.faults is None:
             return nic.send(msg)
@@ -112,6 +113,8 @@ class MessagingLayer:
         if counter is None:
             counter = self._seq_counters[msg.src_node] = itertools.count()
         msg.seq = next(counter)
+        if msg.on_deposit is None:
+            msg.on_deposit = Event(self.sim, name="deposit")
         deposit = nic.send(msg)
         self.sim.schedule(
             self.faults.retry_timeout,
@@ -215,7 +218,7 @@ class MessagingLayer:
         ``wait_category`` (``data_wait`` for page fetches, ``lock_wait``
         for lock acquires, ...).
         """
-        reply_ev = Event(self.sim, name=f"rpc.{tag}")
+        reply_ev = Event(self.sim, name="rpc")
         msg = Message(
             src_node=src_node,
             dst_node=dst_node,
@@ -253,7 +256,7 @@ class MessagingLayer:
         under reliable delivery exactly like RPC traffic.  Returns the
         reply payload.
         """
-        reply_ev = Event(self.sim, name=f"read.{tag}")
+        reply_ev = Event(self.sim, name="read")
         msg = Message(
             src_node=src_node,
             dst_node=dst_node,
@@ -323,8 +326,7 @@ class MessagingLayer:
         payload: Any = None,
         in_handler: bool = False,
     ) -> Generator:
-        """One-way REQUEST (interrupts the destination); returns the
-        deposit event so callers may later wait for delivery."""
+        """One-way REQUEST (interrupts the destination; expects no reply)."""
         msg = Message(
             src_node=src_node,
             dst_node=dst_node,
@@ -332,11 +334,9 @@ class MessagingLayer:
             size_bytes=size_bytes,
             tag=tag,
             payload=payload,
-            reply_to=Event(self.sim, name=f"async.{tag}"),
         )
         yield from self._charge_send(cpu, msg, in_handler)
         self._transmit(msg)
-        return msg.reply_to
 
     def send_sync(
         self,
@@ -357,9 +357,6 @@ class MessagingLayer:
         updates).  ``free_send`` suppresses the host overhead — used for
         traffic the *hardware* emits autonomously (AURC's automatic-update
         snooper), which costs the host nothing.
-
-        Returns the deposit event (succeeds when the data lands in the
-        destination's memory).
         """
         msg = Message(
             src_node=src_node,
@@ -376,7 +373,7 @@ class MessagingLayer:
             cpu.stats.count("bytes_sent", wire)
         else:
             yield from self._charge_send(cpu, msg, in_handler)
-        return self._transmit(msg)
+        self._transmit(msg)
 
     def send_data(
         self,
@@ -397,6 +394,7 @@ class MessagingLayer:
             size_bytes=size_bytes,
             tag=tag,
             min_packets=min_packets,
+            on_deposit=Event(self.sim, name="deposit"),
         )
         wire = msg.wire_bytes(self.arch.packet_mtu, self.arch.packet_header_bytes)
         cpu.stats.count("messages_sent")

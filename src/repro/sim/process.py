@@ -71,19 +71,7 @@ class Process(Waitable):
         self._current: Optional[Waitable] = None
         sim._processes.add(self)
         # First step runs at the current time, after already-queued events.
-        # _step is scheduled directly (not via the _resume wrapper), with
-        # the calendar insert inlined: one call frame per resume is a
-        # measurable cost at half a million spawns per sweep.
-        when = sim.now
-        buckets = sim._buckets
-        bucket = buckets.get(when)
-        if bucket is None:
-            buckets[when] = [self._step, _RESUME_ARGS]
-            heappush(sim._times, when)
-        else:
-            bucket.append(self._step)
-            bucket.append(_RESUME_ARGS)
-        sim._pending += 1
+        sim.schedule_now(self._step, None)
 
     # ------------------------------------------------------------------ #
     @property
