@@ -45,7 +45,7 @@ class IOBus:
             metrics.bump(f"{self.name}.dmas")
             metrics.bump(f"{self.name}.dma_bytes", nbytes)
             metrics.sample_queue(f"{self.name}.backlog", self.queue.backlog)
-        return self.queue.transfer(nbytes)
+        return self.queue.latency(nbytes / self.bytes_per_cycle)
 
     @property
     def backlog_bytes(self) -> float:

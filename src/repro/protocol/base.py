@@ -17,7 +17,7 @@ Every remote request arrives as an interrupt whose handler is found by
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Set
 
 from repro.sim.primitives import Event
@@ -150,7 +150,14 @@ class ProtocolCounters:
     extra: Dict[str, int] = field(default_factory=dict)
 
     def bump(self, name: str, n: int = 1) -> None:
-        if hasattr(self, name) and name != "extra":
+        if name in _COUNTER_FIELDS:
             setattr(self, name, getattr(self, name) + n)
         else:
             self.extra[name] = self.extra.get(name, 0) + n
+
+
+#: the named counters of :class:`ProtocolCounters`; any other name lands
+#: in its ``extra`` dict
+_COUNTER_FIELDS = frozenset(
+    f.name for f in fields(ProtocolCounters) if f.name != "extra"
+)
