@@ -3,7 +3,7 @@
 import pytest
 
 from repro.arch import ArchParams, MemoryBus, Processor
-from repro.sim import Simulator
+from repro.sim import Event, Simulator
 
 
 def make_cpu(sim, with_bus=True):
@@ -67,7 +67,7 @@ def test_handler_steals_time_from_app():
 
     def irq():
         yield sim.timeout(100)
-        yield from cpu.run_handler(handler_body())
+        cpu.grant_handler(handler_body())
 
     sim.spawn(app())
     sim.spawn(irq())
@@ -94,7 +94,7 @@ def test_back_to_back_handlers_serialize_and_both_steal():
 
     def irq(start, dur):
         yield sim.timeout(start)
-        yield from cpu.run_handler(handler_body(dur))
+        cpu.grant_handler(handler_body(dur))
 
     sim.spawn(app())
     sim.spawn(irq(100, 200))
@@ -116,15 +116,12 @@ def test_handler_during_idle_does_not_delay_later_compute_extra():
         yield from cpu.busy(100, "compute")
         finish.append(sim.now)
 
-    def irq():
-        yield from cpu.run_handler(iter([]))  # zero-length body
-
     def irq2():
         yield sim.timeout(100)
-        yield from cpu.run_handler(_delay(sim, 50))
+        cpu.grant_handler(_delay(sim, 50))
 
     sim.spawn(app())
-    sim.spawn(irq())
+    cpu.grant_handler(iter([]))  # zero-length body
     sim.spawn(irq2())
     sim.run()
     # handler at t=100..150 overlapped the app's idle wait, not its compute
@@ -140,15 +137,12 @@ def test_compute_waits_if_handler_active_at_start():
     cpu = make_cpu(sim)
     finish = []
 
-    def irq():
-        yield from cpu.run_handler(_delay(sim, 200))
-
     def app():
         yield sim.timeout(50)  # handler started at 0, still active
         yield from cpu.busy(100, "compute")
         finish.append(sim.now)
 
-    sim.spawn(irq())
+    cpu.grant_handler(_delay(sim, 200))
     sim.spawn(app())
     sim.run()
     # app cannot start until t=200, finishes at 300
@@ -165,7 +159,9 @@ def test_handler_return_value():
         return "page-data"
 
     def irq():
-        result = yield from cpu.run_handler(body())
+        done = Event(sim)
+        cpu.grant_handler(body(), done=done)
+        result = yield done
         results.append(result)
 
     sim.spawn(irq())

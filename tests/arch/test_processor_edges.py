@@ -44,11 +44,8 @@ def test_wait_cycles_charges_but_does_not_occupy():
         yield from cpu.wait_cycles(1000, "barrier_wait")
         done.append(sim.now)
 
-    def irq():
-        yield from cpu.run_handler(_delay(sim, 400))
-
     sim.spawn(app())
-    sim.spawn(irq())
+    cpu.grant_handler(_delay(sim, 400))
     sim.run()
     assert done == [1000]
     assert cpu.stats.time["barrier_wait"] == 1000
@@ -65,11 +62,8 @@ def test_nested_handler_time_not_double_counted():
     sim = Simulator()
     cpu = Processor(sim, 0)
 
-    def irq(dur):
-        yield from cpu.run_handler(_delay(sim, dur))
-
-    sim.spawn(irq(300))
-    sim.spawn(irq(200))
+    cpu.grant_handler(_delay(sim, 300))
+    cpu.grant_handler(_delay(sim, 200))
     sim.run()
     assert cpu.stats.time["handler"] == 500
 
@@ -85,7 +79,7 @@ def test_many_interleaved_handlers_exact_steal():
 
     def irq(start, dur):
         yield sim.timeout(start)
-        yield from cpu.run_handler(_delay(sim, dur))
+        cpu.grant_handler(_delay(sim, dur))
 
     sim.spawn(app())
     total = 0
