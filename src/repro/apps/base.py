@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -187,10 +187,6 @@ class AppGenerator(abc.ABC):
         """First-touch events for a region (placement initialization)."""
         r = space.pages_of(base, nbytes)
         return [(TOUCH, p) for p in np.arange(r.start, r.stop).tolist()]
-
-    @staticmethod
-    def read_pages(pages: Sequence[int]) -> List[Event]:
-        return [(READ, p) for p in np.asarray(pages, dtype=np.int64).tolist()]
 
     @staticmethod
     def read_region(space: AddressSpace, addr: int, nbytes: int) -> List[Event]:

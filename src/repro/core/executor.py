@@ -387,19 +387,29 @@ def _resource_guard(
                 pass
 
 
-def _worker_init() -> None:
+def _worker_init(parent: int) -> None:
     """Pool-worker initializer: leave interrupt handling to the parent.
 
     On Ctrl-C the terminal signals the whole process group; workers must
     finish (and cache) their in-flight point so the parent's graceful
     drain has something to journal, so they ignore SIGINT/SIGTERM and
-    exit when the parent shuts the pool down.
+    exit when the parent shuts the pool down.  A parent that dies without
+    shutting the pool down (SIGKILL, OOM) cannot tell them to exit, so a
+    daemon thread watches for the worker being reparented and exits then.
     """
     for sig in (signal.SIGINT, signal.SIGTERM):
         try:
             signal.signal(sig, signal.SIG_IGN)
         except (ValueError, OSError):  # pragma: no cover - exotic platforms
             pass
+    threading.Thread(target=_exit_with_parent, args=(parent,), daemon=True).start()
+
+
+def _exit_with_parent(parent: int) -> None:
+    """Exit this process as soon as ``parent`` is no longer its parent."""
+    while os.getppid() == parent:
+        time.sleep(0.5)
+    os._exit(1)
 
 
 @contextmanager
@@ -499,7 +509,6 @@ def run_points(
     deadline_s: Optional[float] = None,
     rss_mb: Optional[float] = None,
     fidelity: Optional[str] = None,
-    journal_extra: Optional[Dict[str, object]] = None,
 ) -> List[Union[RunResult, PointFailure]]:
     """Run (or fetch) every point, in parallel, preserving input order.
 
@@ -525,10 +534,6 @@ def run_points(
     point; ``"analytic"`` serves the closed-form fast model;
     ``"auto"`` runs a DES calibration subset and serves the rest from
     the calibrated fast model with recorded error bounds.
-
-    ``journal_extra`` fields are merged into every journal record this
-    call writes — the sweep fabric tags outcomes with the worker id that
-    produced them (fencing tokens are added by the journal write guard).
     """
     from repro.core import runcache, sweeps
 
@@ -564,13 +569,11 @@ def run_points(
         keys = {p: runcache.content_key(p.app, p.scale, p.config) for p in unique}
         journal_done = cp.completed_keys()
 
-    tags: Dict[str, object] = dict(journal_extra or {})
-
     def _journal(p: Point, outcome: Union[RunResult, PointFailure]) -> None:
         if cp is None:
             return
         if isinstance(outcome, RunResult):
-            cp.record(keys[p], "done", app=p.app, scale=p.scale, **tags)
+            cp.record(keys[p], "done", app=p.app, scale=p.scale)
         else:
             cp.record(
                 keys[p],
@@ -579,7 +582,6 @@ def run_points(
                 scale=p.scale,
                 kind=outcome.kind,
                 error=outcome.error,
-                **tags,
             )
 
     # Satisfy what we can from the layered caches (memory, then disk).
@@ -751,7 +753,9 @@ def _map_parallel(
 
     workers = max(1, min(n_jobs, len(misses)))
     outcomes: Dict[Point, Union[RunResult, PointFailure]] = {}
-    with ProcessPoolExecutor(max_workers=workers, initializer=_worker_init) as pool:
+    with ProcessPoolExecutor(
+        max_workers=workers, initializer=_worker_init, initargs=(os.getpid(),)
+    ) as pool:
         futures = {
             pool.submit(_compute_point_guarded, p, attempts, deadline_s, rss_mb): p
             for p in misses

@@ -48,7 +48,6 @@ refused rather than guessed at.
 
 Environment: ``REPRO_STORE_PATH`` overrides the database path (default
 ``results/store.sqlite``); ``REPRO_RESULT_STORE=0`` disables the layer.
-Optional parquet export is gated on ``pyarrow`` being importable.
 """
 
 from __future__ import annotations
@@ -765,25 +764,6 @@ class ResultStore:
         with open(out, "w", encoding="utf-8") as fh:
             for row in rows:
                 fh.write(_json_dumps(dict(zip(headers, row))) + "\n")
-        return len(rows)
-
-    def export_parquet(self, path: os.PathLike, table: str = "runs") -> int:
-        """Columnar file export; needs the optional ``pyarrow`` dependency."""
-        try:
-            import pyarrow as pa
-            import pyarrow.parquet as pq
-        except ImportError as exc:  # pragma: no cover - environment-dependent
-            raise RuntimeError(
-                "parquet export needs pyarrow (pip install pyarrow); "
-                "CSV/JSONL export has no extra dependency"
-            ) from exc
-        headers, rows = self._table_rows(table)
-        columns = {
-            h: [row[i] for row in rows] for i, h in enumerate(headers)
-        }
-        out = pathlib.Path(path)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        pq.write_table(pa.table(columns), out)
         return len(rows)
 
 

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Sequence
+from typing import Any, Dict, Iterable, List, Optional
 
 from repro.apps import APP_ORDER
 from repro.core.reporting import format_table
@@ -56,7 +56,3 @@ def attach_checkpoint_note(output: ExperimentOutput) -> ExperimentOutput:
         note = cp.provenance_note()
         output.notes = f"{output.notes}\n{note}" if output.notes else note
     return output
-
-
-def series_row(name: str, values: Sequence[float]) -> List[Any]:
-    return [name, *values]

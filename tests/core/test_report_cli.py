@@ -138,6 +138,18 @@ def test_report_export_csv(isolated_store, tmp_path, capsys):
     assert out_file.read_text().splitlines()[0].startswith("id,experiment_id")
 
 
+@pytest.mark.parametrize("out", ["runs.parquet", "runs.txt", "runs", None])
+def test_report_export_rejects_unknown_suffix(isolated_store, tmp_path, capsys, out):
+    argv = ["report", "export", "--table", "runs"]
+    if out is not None:
+        argv += ["--out", str(tmp_path / out)]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert "--out" in err and ".csv" in err and ".jsonl" in err
+    assert not any(p.name.startswith("runs") for p in tmp_path.iterdir())
+
+
 def test_report_disabled_store(isolated_store, monkeypatch, capsys):
     monkeypatch.setenv("REPRO_RESULT_STORE", "0")
     reset_result_store()

@@ -2,8 +2,9 @@
 
 A checkpointed sweep subprocess is killed mid-run (SIGKILL — no cleanup
 of any kind), resumed, and its merged results must be *byte-identical*
-to an uninterrupted run.  A second case sends SIGTERM and checks the
-graceful drain: exit code 130, a one-line resume hint, no traceback.
+to an uninterrupted run, and the killed sweep's pool workers must not
+outlive it.  A second case sends SIGTERM and checks the graceful drain:
+exit code 130, a one-line resume hint, no traceback.
 
 ``REPRO_CHAOS_POINT_DELAY_S`` stretches every computed point so the kill
 reliably lands mid-sweep; the delay changes nothing about the results.
@@ -104,6 +105,33 @@ def _wait_for_partial_progress(proc, tmp, timeout=120.0):
     pytest.fail("no journal progress within timeout")
 
 
+def _live_session_members(sid: int) -> list:
+    """PIDs of non-zombie processes in session ``sid`` (Linux procfs)."""
+    members = []
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry}/stat", "rb") as fh:
+                raw = fh.read()
+        except OSError:
+            continue  # exited while we looked
+        # fields after the parenthesised comm: state, ppid, pgrp, session
+        fields = raw[raw.rindex(b")") + 2:].split()
+        if int(fields[3]) == sid and fields[0] != b"Z":
+            members.append(int(entry))
+    return members
+
+
+def _wait_for_empty_session(sid: int, timeout: float = 10.0) -> list:
+    deadline = time.monotonic() + timeout
+    while True:
+        left = _live_session_members(sid)
+        if not left or time.monotonic() >= deadline:
+            return left
+        time.sleep(0.1)
+
+
 def _run_child(script: pathlib.Path, out: pathlib.Path, env: dict) -> None:
     subprocess.run(
         [sys.executable, str(script), str(out)],
@@ -130,15 +158,24 @@ def test_sigkill_then_resume_is_bit_identical(tmp_path):
         [sys.executable, str(script), str(chaos_out)],
         env=_env(chaos_dir, delay="1.0"),
         cwd=REPO_ROOT,
+        start_new_session=True,
     )
     try:
         done_at_kill = _wait_for_partial_progress(proc, chaos_dir)
         os.kill(proc.pid, signal.SIGKILL)
         proc.wait(timeout=60)
+        # the pool workers notice their parent is gone and exit (the
+        # session scan needs procfs; elsewhere only byte-identity is checked)
+        left = _wait_for_empty_session(proc.pid) if os.path.isdir("/proc/self") else []
     finally:
         if proc.poll() is None:  # pragma: no cover - cleanup on test failure
             proc.kill()
+        try:  # never leak workers, even when the assertion below fails
+            os.killpg(proc.pid, signal.SIGKILL)
+        except OSError:
+            pass
     assert proc.returncode == -signal.SIGKILL
+    assert left == [], f"killed sweep left live workers behind: {left}"
     assert not chaos_out.exists(), "killed run must not have produced output"
     # the journal survived the kill with the pre-kill progress intact
     assert _journal_done(chaos_dir) >= done_at_kill
